@@ -9,11 +9,23 @@ needs.
 The operation set is closed and fixed: circular 1-D convolution (kernel
 width odd, default 7), affine maps, leaky_relu, sigmoid, softmax, and the
 elementwise/reduction ops the loss terms use. No general autodiff.
+
+Two invariants keep a backward pass to the work its result needs:
+
+- `grad` calls a vjp only for a parent from which some requested input can
+  be reached; a subgraph that reaches no input (frozen weights, constants)
+  costs nothing in the reverse pass.
+- No vjp closure holds its own output tensor strongly. The output holds the
+  closure in its parents, so a strong link back would be a reference cycle,
+  and a cycle keeps the whole graph alive until the cyclic collector runs.
+  Ops whose vjp needs the output (exp, sigmoid) reach it by weak reference;
+  a graph is freed by reference counting as soon as its output is dropped.
 """
 
 from __future__ import annotations
 
 import contextlib
+import weakref
 
 import numpy as np
 
@@ -33,7 +45,7 @@ def no_record():
 class Tensor:
     """A float64 array plus the parent links that record how it was computed."""
 
-    __slots__ = ("data", "parents")
+    __slots__ = ("data", "parents", "__weakref__")
 
     def __init__(self, data, parents=()):
         self.data = np.asarray(data, dtype=np.float64)
@@ -149,11 +161,21 @@ def pow_const(a, p: float) -> Tensor:
                   [(a, lambda g: mul(g, mul(Tensor(p), pow_const(a, p - 1.0))))])
 
 
+def _record_self_vjp(out: Tensor, a: Tensor, vjp) -> Tensor:
+    """Record a -> out for a vjp(g, out) that needs out itself, linked weakly.
+
+    The node being differentiated is alive whenever grad calls its vjp, so the
+    weak reference always resolves there.
+    """
+    if _RECORDING[-1]:
+        ref = weakref.ref(out)
+        out.parents = ((a, lambda g: vjp(g, ref())),)
+    return out
+
+
 def exp(a) -> Tensor:
     a = _lift(a)
-    out = Tensor(np.exp(a.data))
-    out.parents = ((a, lambda g: mul(g, out)),) if _RECORDING[-1] else ()
-    return out
+    return _record_self_vjp(Tensor(np.exp(a.data)), a, lambda g, out: mul(g, out))
 
 
 def log(a) -> Tensor:
@@ -378,10 +400,8 @@ def sigmoid(x) -> Tensor:
     xd = x.data
     out_data = np.where(xd >= 0, 1.0 / (1.0 + np.exp(-np.abs(xd))),
                         np.exp(-np.abs(xd)) / (1.0 + np.exp(-np.abs(xd))))
-    out = Tensor(out_data)
-    if _RECORDING[-1]:
-        out.parents = ((x, lambda g: mul(g, mul(out, add(Tensor(1.0), neg(out))))),)
-    return out
+    return _record_self_vjp(Tensor(out_data), x,
+                            lambda g, s: mul(g, mul(s, add(Tensor(1.0), neg(s)))))
 
 
 def softmax(x, axis: int = -1) -> Tensor:
@@ -419,13 +439,22 @@ def squared_difference(a, b) -> Tensor:
 # reverse pass
 
 
-def _toposort(output: Tensor) -> list:
-    order, seen = [], set()
+def _toposort(output: Tensor, inputs) -> tuple[list, set]:
+    """Nodes on a path from output to some input, parents before children.
+
+    Returns them in order together with their ids. The walk is a depth-first
+    postorder: a node is finished only after all its parents, so by then it is
+    known whether one of them leads to an input.
+    """
+    wanted = {id(t) for t in inputs}
+    order, seen, live = [], set(), set()
     stack = [(output, False)]
     while stack:
         node, done = stack.pop()
         if done:
-            order.append(node)
+            if id(node) in wanted or any(id(p) in live for p, _ in node.parents):
+                live.add(id(node))
+                order.append(node)
             continue
         if id(node) in seen:
             continue
@@ -434,28 +463,28 @@ def _toposort(output: Tensor) -> list:
         for parent, _ in node.parents:
             if id(parent) not in seen:
                 stack.append((parent, False))
-    return order
+    return order, live
 
 
 def grad(output: Tensor, inputs, create_graph: bool = False) -> list:
     """Reverse-mode gradients of a scalar output w.r.t. each input tensor.
 
-    Inputs not reachable from the output get zero gradients. With
-    create_graph=True the returned gradients are themselves recorded and can
-    be differentiated again.
+    Inputs not reachable from the output get zero gradients. Only vjps that
+    lead to an input are called. With create_graph=True the returned
+    gradients are themselves recorded and can be differentiated again.
     """
     if output.data.size != 1:
         raise ValueError(f"grad expects a scalar output, got shape {output.data.shape}")
     inputs = list(inputs)
 
     def run():
-        order = _toposort(output)
+        order, live = _toposort(output, inputs)
         grads = {id(output): Tensor(np.ones_like(output.data))}
         for node in reversed(order):
-            g = grads.get(id(node))
-            if g is None:
-                continue
+            g = grads[id(node)]
             for parent, vjp in node.parents:
+                if id(parent) not in live:
+                    continue
                 contrib = vjp(g)
                 prev = grads.get(id(parent))
                 grads[id(parent)] = contrib if prev is None else add(prev, contrib)

@@ -15,6 +15,7 @@ import struct
 import numpy as np
 
 from .dataset_io import FormatError
+from .nets import critic_layout, generator_layout
 from .train import Checkpoint, TrainConfig
 
 MAGIC = b"LCK1"
@@ -44,10 +45,24 @@ def _unpack_array(blob: bytes, off: int) -> tuple[str, np.ndarray, int]:
     return name, arr, off
 
 
+def _adam_names(prefix: str, names: list[str]) -> list[str]:
+    """Block names of one Adam state: step count, then first and second moments."""
+    return [f"{prefix}.t"] + [f"{prefix}.{kind}.{n}" for kind in ("m", "v") for n in names]
+
+
 def _adam_blocks(prefix: str, names: list[str], state: dict) -> list[tuple[str, np.ndarray]]:
-    blocks = [(f"{prefix}.t", np.array(float(state["t"])).reshape(()))]
-    for kind in ("m", "v"):
-        blocks += [(f"{prefix}.{kind}.{n}", a) for n, a in zip(names, state[kind])]
+    arrays = [np.array(float(state["t"])).reshape(())] + list(state["m"]) + list(state["v"])
+    return list(zip(_adam_names(prefix, names), arrays))
+
+
+def _expected_blocks(L: int, z_dim: int) -> list[tuple[str, tuple]]:
+    """(name, shape) of every block the architecture declares, in file order."""
+    g = [(n, s) for n, s, _ in generator_layout(L, z_dim)]
+    d = [(n, s) for n, s, _ in critic_layout(L)]
+    blocks = [(f"g.{n}", s) for n, s in g] + [(f"d.{n}", s) for n, s in d]
+    for prefix, net in (("adam_g", g), ("adam_d", d)):
+        shapes = [()] + [s for _, s in net] * 2
+        blocks += list(zip(_adam_names(prefix, [n for n, _ in net]), shapes))
     return blocks
 
 
@@ -88,6 +103,10 @@ def deserialize_checkpoint(blob: bytes) -> Checkpoint:
     off += 4
     arch = json.loads(blob[off:off + alen])
     off += alen
+    try:
+        L, z_dim = int(arch["L"]), int(arch["z_dim"])
+    except (KeyError, TypeError, ValueError) as e:
+        raise FormatError(f"bad architecture descriptor {arch!r}") from e
     (nblocks,) = struct.unpack_from("<I", blob, off)
     off += 4
     arrays: dict[str, np.ndarray] = {}
@@ -96,6 +115,13 @@ def deserialize_checkpoint(blob: bytes) -> Checkpoint:
         name, arr, off = _unpack_array(blob, off)
         arrays[name] = arr
         order.append(name)
+    got = [(n, arrays[n].shape) for n in order]
+    expected = _expected_blocks(L, z_dim)
+    if got != expected:
+        missing = [n for n, s in expected if (n, s) not in got]
+        extra = [n for n, s in got if (n, s) not in expected]
+        raise FormatError(f"weight blocks do not match architecture L={L} z_dim={z_dim}: "
+                          f"missing or misshapen {missing}, unexpected {extra}")
     (clen,) = struct.unpack_from("<I", blob, off)
     off += 4
     meta = json.loads(blob[off:off + clen])
@@ -113,7 +139,7 @@ def deserialize_checkpoint(blob: bytes) -> Checkpoint:
                 "v": [arrays[f"{prefix}.v.{n}"] for n in names]}
 
     return Checkpoint(
-        L=int(arch["L"]), z_dim=int(arch["z_dim"]),
+        L=L, z_dim=z_dim,
         g_weights=g_weights, d_weights=d_weights,
         adam_g=adam_state("adam_g", list(g_weights)),
         adam_d=adam_state("adam_d", list(d_weights)),

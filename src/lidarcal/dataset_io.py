@@ -19,6 +19,7 @@ from .oracle import Dataset
 MAGIC = b"LCD1"
 VERSION = 1
 N_PARAMS = 8
+_HEADER = struct.Struct("<HIBIIQ")
 
 
 class FormatError(ValueError):
@@ -41,8 +42,8 @@ def serialize_dataset(ds: Dataset) -> bytes:
     nbytes = (L + 7) // 8
     out = bytearray()
     out += MAGIC
-    out += struct.pack("<HIBIIQ", VERSION, L, N_PARAMS, ds.n_groups, ds.reps,
-                       ds.base_seed & ((1 << 64) - 1))
+    out += _HEADER.pack(VERSION, L, N_PARAMS, ds.n_groups, ds.reps,
+                        ds.base_seed & ((1 << 64) - 1))
     if len(ds.oracle_digest) != 32:
         raise FormatError("oracle digest must be 32 bytes")
     out += ds.oracle_digest
@@ -59,21 +60,23 @@ def serialize_dataset(ds: Dataset) -> bytes:
 def deserialize_dataset(blob: bytes) -> Dataset:
     if blob[:4] != MAGIC:
         raise FormatError(f"bad magic {blob[:4]!r}, expected {MAGIC!r}")
-    off = 4
-    version, L, n_params, n_groups, reps, base_seed = struct.unpack_from("<HIBIIQ", blob, off)
-    off += struct.calcsize("<HIBIIQ")
+    off = len(MAGIC) + _HEADER.size
+    if len(blob) < off:
+        raise FormatError(f"truncated header: {len(blob)} bytes, need {off}")
+    version, L, n_params, n_groups, reps, base_seed = _HEADER.unpack_from(blob, len(MAGIC))
     if version != VERSION:
         raise FormatError(f"unsupported dataset version {version}")
     if n_params != N_PARAMS:
         raise FormatError(f"param count {n_params} != {N_PARAMS}")
-    digest = blob[off:off + 32]
-    off += 32
     nbytes = (L + 7) // 8
-    alpha = unpack_bits(blob[off:off + nbytes], L)
-    off += nbytes
-    expected = off + n_groups * (4 * N_PARAMS + reps * nbytes)
+    # the whole declared length is checked before the digest, code or records are read
+    expected = off + 32 + nbytes + n_groups * (4 * N_PARAMS + reps * nbytes)
     if len(blob) != expected:
         raise FormatError(f"payload length {len(blob)} != declared {expected}")
+    digest = blob[off:off + 32]
+    off += 32
+    alpha = unpack_bits(blob[off:off + nbytes], L)
+    off += nbytes
     params = np.empty((n_groups, N_PARAMS))
     batches = np.empty((n_groups, reps, L))
     for g in range(n_groups):

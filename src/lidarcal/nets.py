@@ -27,37 +27,56 @@ def _he_std(fan_in: int, slope: float = 0.2) -> float:
     return float(np.sqrt(2.0 / ((1.0 + slope * slope) * fan_in)))
 
 
-class GeneratorNet:
-    """(C, z) -> soft back-scattered code in (0,1)^L."""
+def generator_layout(L: int, z_dim: int) -> list[tuple[str, tuple, float]]:
+    """(name, shape, init std) of every generator weight, in declaration order."""
+    n_in = N_PARAMS + z_dim
+    layout = [("fc_W", (CHANNELS * L, n_in), _he_std(n_in)), ("fc_b", (CHANNELS * L,), 0.0)]
+    for i in range(N_BLOCKS):
+        cout = 1 if i == N_BLOCKS - 1 else CHANNELS
+        layout += [(f"conv{i}_k", (cout, CHANNELS, KERNEL), _he_std(CHANNELS * KERNEL)),
+                   (f"conv{i}_b", (cout,), 0.0)]
+    return layout
 
-    def __init__(self, L: int, z_dim: int = 32, seed: int = 0):
-        self.L = int(L)
-        self.z_dim = int(z_dim)
-        rng = np.random.Generator(np.random.PCG64(derive_seed(seed, 0x47454E)))
-        n_in = N_PARAMS + self.z_dim
-        self._names: list[str] = []
-        self._tensors: list[Tensor] = []
 
-        def param(name, shape, std):
-            t = Tensor(rng.normal(0.0, std, size=shape) if std else np.zeros(shape))
-            self._names.append(name)
-            self._tensors.append(t)
-            return t
+def critic_layout(L: int) -> list[tuple[str, tuple, float]]:
+    """(name, shape, init std) of every critic weight, in declaration order."""
+    layout = []
+    for i in range(N_BLOCKS):
+        cin = 1 if i == 0 else CHANNELS
+        layout += [(f"conv{i}_k", (CHANNELS, cin, KERNEL), _he_std(cin * KERNEL)),
+                   (f"conv{i}_b", (CHANNELS,), 0.0)]
+    layout += [("fc_W", (1 + N_PARAMS, CHANNELS * L), _he_std(CHANNELS * L)),
+               ("fc_b", (1 + N_PARAMS,), 0.0)]
+    return layout
 
-        self.fc_W = param("fc_W", (CHANNELS * self.L, n_in), _he_std(n_in))
-        self.fc_b = param("fc_b", (CHANNELS * self.L,), 0.0)
-        self.conv_k, self.conv_b = [], []
-        for i in range(N_BLOCKS):
-            cout = 1 if i == N_BLOCKS - 1 else CHANNELS
-            self.conv_k.append(param(f"conv{i}_k", (cout, CHANNELS, KERNEL),
-                                     _he_std(CHANNELS * KERNEL)))
-            self.conv_b.append(param(f"conv{i}_b", (cout,), 0.0))
+
+class _Net:
+    """Named weight tensors drawn in layout order from one seeded stream."""
+
+    def __init__(self, layout, rng: np.random.Generator):
+        self._names = [name for name, _, _ in layout]
+        self._tensors = [Tensor(rng.normal(0.0, std, size=shape) if std else np.zeros(shape))
+                         for _, shape, std in layout]
+        w = dict(zip(self._names, self._tensors))
+        self.fc_W, self.fc_b = w["fc_W"], w["fc_b"]
+        self.conv_k = [w[f"conv{i}_k"] for i in range(N_BLOCKS)]
+        self.conv_b = [w[f"conv{i}_b"] for i in range(N_BLOCKS)]
 
     def weights(self) -> list[tuple[str, Tensor]]:
         return list(zip(self._names, self._tensors))
 
     def tensors(self) -> list[Tensor]:
         return self._tensors
+
+
+class GeneratorNet(_Net):
+    """(C, z) -> soft back-scattered code in (0,1)^L."""
+
+    def __init__(self, L: int, z_dim: int = 32, seed: int = 0):
+        self.L = int(L)
+        self.z_dim = int(z_dim)
+        rng = np.random.Generator(np.random.PCG64(derive_seed(seed, 0x47454E)))
+        super().__init__(generator_layout(self.L, self.z_dim), rng)
 
     def forward(self, C: Tensor, z: Tensor) -> Tensor:
         """C: [b, 8], z: [b, z_dim] -> codes [b, L] in (0, 1)."""
@@ -72,36 +91,13 @@ class GeneratorNet:
         return ad.sigmoid(h.reshape(b, self.L))
 
 
-class DiscriminatorNet:
+class DiscriminatorNet(_Net):
     """code -> [raw validity score, 8 predicted camera params]."""
 
     def __init__(self, L: int, seed: int = 0):
         self.L = int(L)
         rng = np.random.Generator(np.random.PCG64(derive_seed(seed, 0x444953)))
-        self._names: list[str] = []
-        self._tensors: list[Tensor] = []
-
-        def param(name, shape, std):
-            t = Tensor(rng.normal(0.0, std, size=shape) if std else np.zeros(shape))
-            self._names.append(name)
-            self._tensors.append(t)
-            return t
-
-        self.conv_k, self.conv_b = [], []
-        for i in range(N_BLOCKS):
-            cin = 1 if i == 0 else CHANNELS
-            self.conv_k.append(param(f"conv{i}_k", (CHANNELS, cin, KERNEL),
-                                     _he_std(cin * KERNEL)))
-            self.conv_b.append(param(f"conv{i}_b", (CHANNELS,), 0.0))
-        self.fc_W = param("fc_W", (1 + N_PARAMS, CHANNELS * self.L),
-                          _he_std(CHANNELS * self.L))
-        self.fc_b = param("fc_b", (1 + N_PARAMS,), 0.0)
-
-    def weights(self) -> list[tuple[str, Tensor]]:
-        return list(zip(self._names, self._tensors))
-
-    def tensors(self) -> list[Tensor]:
-        return self._tensors
+        super().__init__(critic_layout(self.L), rng)
 
     def forward(self, x: Tensor) -> Tensor:
         """x: [b, L] -> scores [b, 9] (column 0 score, columns 1..8 params)."""
@@ -137,6 +133,8 @@ def discriminator_forward(D: DiscriminatorNet, code) -> tuple[float, np.ndarray]
 def set_weights(net, arrays: dict[str, np.ndarray]) -> None:
     """Load weight arrays (by name) into a net, in place."""
     for name, t in net.weights():
+        if name not in arrays:
+            raise ValueError(f"weight {name}: missing")
         a = arrays[name]
         if a.shape != t.data.shape:
             raise ValueError(f"weight {name}: shape {a.shape} != {t.data.shape}")

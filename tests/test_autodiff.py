@@ -1,3 +1,6 @@
+import gc
+import weakref
+
 import numpy as np
 import pytest
 
@@ -20,6 +23,7 @@ from lidarcal.autodiff import (
     tabs,
     variance,
 )
+from lidarcal.nets import GeneratorNet
 
 
 def finite_diff(f, arrays, wrt, h=1e-4):
@@ -291,3 +295,63 @@ class TestRecording:
         (g,) = grad((x * x * x).sum(), [x], create_graph=True)
         (gg,) = grad(g.sum(), [x])
         assert gg.data[0] == pytest.approx(12.0)  # d2/dx2 x^3 = 6x
+
+
+def _raising_vjp(g):
+    raise AssertionError("vjp called on a branch that reaches no requested input")
+
+
+class TestPruning:
+    def test_branch_reaching_no_input_is_never_differentiated(self):
+        x = Tensor(np.array([1.0, -2.0, 3.0]))
+        frozen = Tensor(np.full(3, 2.0), [(Tensor(np.zeros(3)), _raising_vjp)])
+        out = (sigmoid(x) * frozen).sum() + frozen.sum()
+        (gx,) = grad(out, [x])
+        s = 1.0 / (1.0 + np.exp(-x.data))
+        np.testing.assert_allclose(gx.data, 2.0 * s * (1.0 - s), rtol=1e-12)
+
+    def test_input_gradient_computes_no_kernel_gradient(self, monkeypatch):
+        G = GeneratorNet(16, z_dim=4, seed=3)
+        logits = Tensor(np.zeros(8))
+        C = ad.broadcast_to(sigmoid(logits).reshape(1, 8), (3, 8))
+        loss = G.forward(C, Tensor(np.ones((3, 4)))).sum()
+        monkeypatch.setattr(ad, "conv1d_kernel_grad", lambda *a: _raising_vjp(None))
+        (g,) = grad(loss, [logits])
+        assert g.shape == (8,) and np.all(np.isfinite(g.data))
+
+
+class TestGraphLifetime:
+    def test_dropped_iteration_graph_is_freed_without_the_cyclic_collector(self, monkeypatch):
+        G = GeneratorNet(16, z_dim=4, seed=4)
+        logits = Tensor(np.linspace(-1.0, 1.0, 8))
+        made = []
+        init = Tensor.__init__
+
+        def tracking_init(self, *args, **kwargs):
+            init(self, *args, **kwargs)
+            made.append(weakref.ref(self))
+
+        gc.disable()
+        try:
+            monkeypatch.setattr(Tensor, "__init__", tracking_init)
+            C = ad.broadcast_to(sigmoid(logits).reshape(1, 8), (5, 8))
+            fake = G.forward(C, Tensor(np.ones((5, 4))))
+            loss = (softmax(fake, axis=1) * Tensor(np.arange(16.0))).sum()
+            (g,) = grad(loss, [logits])
+            monkeypatch.undo()
+            del C, fake, loss
+            alive = [r() for r in made if r() is not None and r() is not g]
+        finally:
+            gc.enable()
+        assert len(made) > 100
+        assert alive == []
+
+    def test_self_referencing_vjps_stay_correct_to_second_order(self):
+        x = Tensor(np.array([-1.5, 0.0, 0.7]))
+        (gs,) = grad(sigmoid(x).sum(), [x], create_graph=True)
+        (gg,) = grad(gs.sum(), [x])
+        s = 1.0 / (1.0 + np.exp(-x.data))
+        np.testing.assert_allclose(gg.data, s * (1.0 - s) * (1.0 - 2.0 * s), rtol=1e-12)
+        (ge,) = grad(ad.exp(x).sum(), [x], create_graph=True)
+        (gge,) = grad(ge.sum(), [x])
+        np.testing.assert_allclose(gge.data, np.exp(x.data), rtol=1e-12)

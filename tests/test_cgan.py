@@ -91,6 +91,13 @@ def test_set_weights_shape_mismatch():
         set_weights(G, bad)
 
 
+def test_set_weights_names_missing_block():
+    G = GeneratorNet(16, z_dim=4, seed=0)
+    arrays = {n: t.data.copy() for n, t in G.weights() if n != "fc_b"}
+    with pytest.raises(ValueError, match="fc_b"):
+        set_weights(G, arrays)
+
+
 def test_generator_input_validation():
     G = GeneratorNet(16, z_dim=4, seed=0)
     with pytest.raises(ValueError):

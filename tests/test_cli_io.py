@@ -1,5 +1,7 @@
 """Round-trip, format, config, and CLI surface tests."""
 
+import struct
+
 import numpy as np
 import pytest
 
@@ -78,6 +80,13 @@ def test_dataset_format_rejects_corruption():
         dataset_io.deserialize_dataset(blob[:-3])
     with pytest.raises(FormatError):
         dataset_io.deserialize_dataset(blob + b"\0")
+
+
+def test_dataset_every_proper_prefix_is_a_format_error():
+    blob = dataset_io.serialize_dataset(small_dataset())
+    for n in range(len(blob)):
+        with pytest.raises(FormatError):
+            dataset_io.deserialize_dataset(blob[:n])
 
 
 def test_bit_packing_msb_first():
@@ -273,6 +282,27 @@ def test_cli_exit_codes(workdir):
     assert run_cli("train", "--config", cfgp, "--dataset", workdir / "missing.lcd",
                    "--out", workdir / "x") == 1
     assert run_cli("inspect", workdir / "missing.bin") == 1
+
+
+def test_cli_checkpoint_missing_block_exits_2(workdir):
+    cfgp = workdir / "run.cfg"
+    ds, ck = workdir / "ds.lcd", workdir / "ck.lck"
+    run_cli("gen-data", "--config", cfgp, "--out", ds)
+    assert run_cli("train", "--config", cfgp, "--dataset", ds, "--out", ck) == 0
+    blob = ck.read_bytes()
+    block = checkpoint_io._pack_array(
+        "g.fc_b", checkpoint_io.read_checkpoint(ck).g_weights["fc_b"])
+    assert blob.count(block) == 1
+    count_at = 6 + 4 + struct.unpack_from("<I", blob, 6)[0]
+    (nblocks,) = struct.unpack_from("<I", blob, count_at)
+    cut = workdir / "cut.lck"
+    cut.write_bytes(blob[:count_at] + struct.pack("<I", nblocks - 1)
+                    + blob[count_at + 4:].replace(block, b""))
+    with pytest.raises(FormatError, match="g.fc_b"):
+        checkpoint_io.read_checkpoint(cut)
+    assert run_cli("inspect", cut) == 2
+    assert run_cli("optimize", "--config", cfgp, "--checkpoint", cut,
+                   "--out", workdir / "p.txt") == 2
 
 
 def test_cli_dataset_camera_mismatch(workdir):
